@@ -275,8 +275,11 @@ func ParseEngineKind(name string) (EngineKind, bool) { return runtime.ParseEngin
 // MultiObserver combines observers into one, skipping nils.
 func MultiObserver(obs ...Observer) Observer { return runtime.MultiObserver(obs...) }
 
-// IntervalSource builds a source firing every interval — deadline-aware
-// so timer flows never wedge the event engine's dispatcher.
+// IntervalSource builds a source firing every interval. Timer flows never
+// wedge the event or work-stealing engines' dispatchers: there a poll
+// before the tick is due parks the source off the dispatch queue until
+// it is (cancellation requeues it at once, so shutdown never waits out
+// an interval); elsewhere it honors the polling deadline.
 func IntervalSource(d time.Duration) SourceFunc { return runtime.IntervalSource(d) }
 
 // Profiling (§5.2).

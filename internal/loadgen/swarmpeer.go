@@ -550,6 +550,10 @@ func (c *swarmConn) writerLoop() {
 			} else if len(c.reqQueue) > 0 {
 				req = c.reqQueue[0]
 				c.reqQueue = c.reqQueue[1:]
+				// b is a read-only view of the store, valid after the
+				// lock is released (verified pieces never change, and a
+				// store reset swaps in a new store rather than
+				// rewriting this one); it is only copied into the frame.
 				b, err := p.store.ReadBlock(int(req.index), int64(req.begin), int64(req.length))
 				if err == nil {
 					blk, hasBlk = b, true

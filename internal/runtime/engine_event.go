@@ -19,7 +19,8 @@ import (
 //     poll with a deadline (the select-with-timeout pattern the paper's
 //     web server uses), so an idle source holds the dispatcher for at
 //     most Config.SourceTimeout — which reproduces the low-concurrency
-//     latency hiccup of Figure 3;
+//     latency hiccup of Figure 3 — and interval sources park off the
+//     queue until their tick is due (idle.go);
 //   - nodes marked blocking are offloaded to an asynchronous-I/O worker
 //     pool, the Go analogue of the paper's LD_PRELOAD interception: the
 //     node's state (its continuation vertex and record) is captured, the
@@ -31,7 +32,8 @@ import (
 //     earlier ones;
 //   - async completions signal Flow.Wake, so a source poll in progress
 //     yields immediately instead of holding the dispatcher for its full
-//     timeout (the paper's single select sees all activity at once).
+//     timeout (the paper's single select sees all activity at once);
+//     other sources' queued polls are not work and do not wake it.
 //
 // Run-to-block dispatch removes one queue round trip per vertex: an
 // N-node non-blocking flow costs one queue trip total, not N.
@@ -73,6 +75,10 @@ type eventEngine struct {
 	asyncq   *fifo[event]
 	inflight atomic.Int64
 	sources  atomic.Int64
+	// work counts queued events that are ready work (isWork): it is
+	// raised before the push and lowered once a dispatcher claims the
+	// event, so a poll's pre-arm check may over- but never under-count.
+	work atomic.Int64
 	// wake interrupts a source poll when other work arrives, so async
 	// completions never wait out a source timeout (the paper's single
 	// select sees all activity at once).
@@ -93,8 +99,15 @@ func newEventEngine(s *Server) Engine {
 	}
 }
 
-// pushEvent enqueues an event and nudges any polling source.
+// pushEvent enqueues ready work and nudges any polling source.
 func (e *eventEngine) pushEvent(ev event) {
+	e.work.Add(1)
+	e.queue.push(ev)
+	e.signalWake()
+}
+
+// requeueSource returns a parked source to the queue once it is due.
+func (e *eventEngine) requeueSource(ev event) {
 	e.queue.push(ev)
 	e.signalWake()
 }
@@ -177,8 +190,10 @@ func (e *eventEngine) Submit(fl *Flow, rec Record) error {
 	}
 	fl.SourceTimeout = e.s.cfg.SourceTimeout
 	e.inflight.Add(1)
+	e.work.Add(1)
 	tbl := fl.src.tbl
 	if !e.queue.offer(event{kind: evStep, fl: fl, tbl: tbl, v: tbl.g.Entry, rec: rec}) {
+		e.work.Add(-1)
 		e.inflight.Add(-1)
 		e.s.freeFlow(fl)
 		return ErrServerClosed
@@ -224,19 +239,28 @@ const eventBatch = 8
 // (evSource holds sources > 0 until retired, evStep/evResult hold
 // inflight > 0), so events parked in a dispatcher's buffer can never be
 // stranded by the queue closing under them.
+//
+// work tracks the ready work still buffered behind the current event;
+// buffered source polls do not count (idle.go).
 func (e *eventEngine) dispatch() {
 	var buf [eventBatch]event
+	var idle idleTimer
 	for {
 		n, ok := e.queue.popBatch(buf[:])
 		if !ok {
 			return
 		}
+		work := countWork(buf[:n])
+		e.work.Add(-int64(work))
 		for i := 0; i < n; i++ {
 			ev := buf[i]
 			buf[i] = event{} // release the record/flow for GC
+			if ev.isWork() {
+				work--
+			}
 			switch ev.kind {
 			case evSource:
-				e.handleSource(ev, i+1 < n)
+				e.handleSource(ev, work > 0, &idle)
 			case evStep:
 				e.run(ev.fl, ev.tbl, ev.v, ev.rec, ev.acquired)
 			case evResult:
@@ -266,11 +290,12 @@ func (e *eventEngine) retireSource(ev event) {
 	e.sources.Add(-1)
 }
 
-// handleSource polls a source once and re-queues it. The evSource event
-// owns a reusable poll Flow, so an idle source cycling through ErrNoData
-// allocates nothing. morePending reports events still buffered by this
-// dispatcher's batch, which count as ready work for poll-shortening.
-func (e *eventEngine) handleSource(ev event, morePending bool) {
+// handleSource polls a source once and re-queues it — or parks it, when
+// it names the time its next record is due. The evSource event owns a
+// reusable poll Flow, so an idle source cycling through ErrNoData
+// allocates nothing. morePending reports ready work still buffered by
+// this dispatcher's batch, which counts for poll-shortening.
+func (e *eventEngine) handleSource(ev event, morePending bool, idle *idleTimer) {
 	select {
 	case <-e.ctxDone:
 		e.retireSource(ev)
@@ -282,12 +307,13 @@ func (e *eventEngine) handleSource(ev event, morePending bool) {
 		ev.fl.SourceTimeout = e.s.cfg.SourceTimeout
 		ev.fl.Wake = e.wake
 		ev.fl.src = ev.st
+		ev.fl.parkable = true
 	}
 	// A poll must return promptly when the engine already has work;
 	// pre-arm the wake signal so a well-behaved source's select fires
-	// immediately.
+	// immediately. Queued source polls are not work.
 	e.drainWake()
-	if morePending || e.queue.len() > 0 {
+	if morePending || e.work.Load() > 0 {
 		e.signalWake()
 	}
 	t0 := time.Now()
@@ -306,12 +332,15 @@ func (e *eventEngine) handleSource(ev event, morePending bool) {
 		e.run(flow, ev.st.tbl, ev.st.tbl.g.Entry, rec, 0)
 	case errors.Is(err, ErrNoData):
 		ev.fl.releaseRecord() // a drawn-but-unused record goes back now
+		if parkSource(e.ctx, ev, e) {
+			return
+		}
 		// Guard against sources that return early instead of waiting
 		// out their deadline: an idle queue would otherwise hot-spin.
 		// The guard sleep is interrupted by new work arriving.
-		if !morePending && e.queue.len() == 0 {
+		if !morePending && e.work.Load() == 0 {
 			if rest := e.s.cfg.SourceTimeout - time.Since(t0); rest > 0 {
-				e.sleepWakeable(rest)
+				idle.sleep(rest, e.wake, e.ctxDone)
 			}
 		}
 		e.queue.push(ev)
@@ -322,18 +351,6 @@ func (e *eventEngine) handleSource(ev event, morePending bool) {
 	default:
 		e.s.stats.NodeErrors.Add(1)
 		e.retireSource(ev)
-	}
-}
-
-// sleepWakeable waits without outliving the run context, returning early
-// when new work arrives.
-func (e *eventEngine) sleepWakeable(d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-e.wake:
-	case <-e.ctx.Done():
 	}
 }
 

@@ -44,8 +44,9 @@ import (
 //     is missed and Drain cannot deadlock on a sleeping core.
 //
 // Run-to-block dispatch, the async-I/O offload pool, the poll-shortening
-// wake signal, and the zero-allocation flow path carry over from the
-// event engine unchanged.
+// wake signal, the idle rules (only ready work pre-empts a poll; interval
+// sources park until due — idle.go), and the zero-allocation flow path
+// carry over from the event engine unchanged.
 
 // stealBatch is how many injection-queue events an idle dispatcher
 // claims per mutex round trip.
@@ -86,6 +87,13 @@ type stealDispatcher struct {
 	e  *stealEngine
 	id int
 	dq deque[event]
+	// work counts the ready work (isWork) on dq — the deque also holds
+	// source polls, which must not pre-empt a poll. Raised before a
+	// push, lowered after a pop or steal, so the pre-arm check may over-
+	// but never under-count.
+	work atomic.Int64
+	// idle is the guard-sleep timer, reused across polls.
+	idle idleTimer
 	// wake is the dispatcher's parking token and poll interrupt: parking
 	// blocks on it, and pushes to this dispatcher's deque signal it so a
 	// source poll in progress yields immediately.
@@ -242,6 +250,9 @@ func (d *stealDispatcher) nextClosing(buf []event) (event, bool) {
 	e := d.e
 	for {
 		if ev, ok := d.dq.pop(); ok {
+			if ev.isWork() {
+				d.work.Add(-1)
+			}
 			return ev, true
 		}
 		if ev, ok := d.drainInject(buf); ok {
@@ -307,10 +318,34 @@ func (d *stealDispatcher) drainWake() {
 	}
 }
 
-// pushTo lands an event on a specific dispatcher's deque and signals it,
-// cutting short a poll or unparking it if necessary.
+// pushTo lands ready work on a specific dispatcher's deque and signals
+// it, cutting short a poll or unparking it if necessary.
 func (e *stealEngine) pushTo(d *stealDispatcher, ev event) {
+	d.push(ev)
+	d.signalWake()
+}
+
+// push lands an event at the owner end of the deque, counting it first
+// if it is ready work.
+func (d *stealDispatcher) push(ev event) {
+	if ev.isWork() {
+		d.work.Add(1)
+	}
 	d.dq.push(ev)
+}
+
+// took uncounts the ready work among events just popped or stolen from
+// the deque.
+func (d *stealDispatcher) took(evs []event) {
+	if n := countWork(evs); n > 0 {
+		d.work.Add(-int64(n))
+	}
+}
+
+// requeueSource returns a parked source to the FIFO end of the deque it
+// was parked from once it is due, unparking the dispatcher if needed.
+func (d *stealDispatcher) requeueSource(ev event) {
+	d.dq.pushTop(ev)
 	d.signalWake()
 }
 
@@ -340,10 +375,14 @@ func (d *stealDispatcher) loop() {
 		if !ok {
 			return
 		}
+		work := countWork(buf[:n])
 		for i := 0; i < n; i++ {
 			ev := buf[i]
 			buf[i] = event{} // release the record/flow for GC
-			d.handle(ev, i+1 < n)
+			if ev.isWork() {
+				work--
+			}
+			d.handle(ev, work > 0)
 			e.maybeFinish()
 			// External admissions must not wait out the rest of an owner
 			// batch: spill them onto the deque between buffered events,
@@ -365,7 +404,7 @@ func (d *stealDispatcher) spillInject() {
 	}
 	d.e.ninject.Add(-int64(n))
 	for i := 0; i < n; i++ {
-		d.dq.push(buf[i])
+		d.push(buf[i])
 		buf[i] = event{}
 	}
 	d.e.wakeOneParked()
@@ -396,6 +435,7 @@ func (d *stealDispatcher) nextBatch(buf []event) (int, bool) {
 			}
 		}
 		if n := d.dq.popBatch(buf); n > 0 {
+			d.took(buf[:n])
 			return n, true
 		}
 		if ev, ok := d.drainInject(buf); ok {
@@ -432,7 +472,7 @@ func (d *stealDispatcher) drainInject(buf []event) (event, bool) {
 	}
 	d.e.ninject.Add(-int64(n))
 	for i := 1; i < n; i++ {
-		d.dq.push(buf[i])
+		d.push(buf[i])
 		buf[i] = event{}
 	}
 	ev := buf[0]
@@ -500,8 +540,9 @@ func (d *stealDispatcher) steal() (event, bool) {
 		}
 		if k := v.dq.stealHalf(&d.scratch); k > 0 {
 			d.steals.Add(1)
+			v.took(d.scratch[:k])
 			for j := 1; j < k; j++ {
-				d.dq.push(d.scratch[j])
+				d.push(d.scratch[j])
 				d.scratch[j] = event{}
 			}
 			ev := d.scratch[0]
@@ -542,10 +583,11 @@ func (d *stealDispatcher) retireSource(ev event) {
 }
 
 // handleSource polls a source once and re-queues it on this dispatcher's
-// deque; its flows originate here and stay here unless stolen.
-// morePending (events buffered by the caller's owner batch) shortens the
-// poll and suppresses the idle guard sleep, exactly as deque or
-// injection backlog does.
+// deque — or parks it, when it names the time its next record is due;
+// its flows originate here and stay here unless stolen. morePending
+// (ready work buffered by the caller's owner batch) shortens the poll
+// and suppresses the idle guard sleep, exactly as queued work on the
+// deque or in the injection queue does.
 func (d *stealDispatcher) handleSource(ev event, morePending bool) {
 	e := d.e
 	select {
@@ -558,16 +600,17 @@ func (d *stealDispatcher) handleSource(ev event, morePending bool) {
 		ev.fl = e.s.newFlow(e.ctx, 0)
 		ev.fl.SourceTimeout = e.s.cfg.SourceTimeout
 		ev.fl.src = ev.st
+		ev.fl.parkable = true
 	}
 	// The poll context's wake follows the source to its current
 	// dispatcher (the event may have been stolen).
 	ev.fl.Wake = d.wake
 	// Pre-arm the wake signal when work is already waiting — buffered by
 	// the owner batch, locally queued, or in the injection queue — so a
-	// well-behaved source's select fires immediately. The queue probes
-	// are atomic loads.
+	// well-behaved source's select fires immediately. Queued source polls
+	// are not work. The probes are atomic loads.
 	d.drainWake()
-	if morePending || d.dq.len() > 0 || e.ninject.Load() > 0 {
+	if morePending || d.work.Load() > 0 || e.ninject.Load() > 0 {
 		d.signalWake()
 	}
 	t0 := time.Now()
@@ -590,14 +633,17 @@ func (d *stealDispatcher) handleSource(ev event, morePending bool) {
 		d.run(flow, ev.st.tbl, ev.st.tbl.g.Entry, rec, 0)
 	case errors.Is(err, ErrNoData):
 		ev.fl.releaseRecord() // a drawn-but-unused record goes back now
+		if parkSource(e.ctx, ev, d) {
+			return
+		}
 		// Guard against sources that return early instead of waiting out
 		// their deadline: an idle engine would otherwise hot-spin. The
 		// guard sleep is interrupted by new work arriving (deque pushes
 		// and Submit both signal wake tokens) and skipped while the owner
 		// batch still buffers runnable events.
-		if !morePending && d.dq.len() == 0 && e.ninject.Load() <= 0 {
+		if !morePending && d.work.Load() == 0 && e.ninject.Load() <= 0 {
 			if rest := e.s.cfg.SourceTimeout - time.Since(t0); rest > 0 {
-				d.sleepWakeable(rest)
+				d.idle.sleep(rest, d.wake, e.ctxDone)
 			}
 		}
 		d.dq.pushTop(ev)
@@ -608,18 +654,6 @@ func (d *stealDispatcher) handleSource(ev event, morePending bool) {
 	default:
 		e.s.stats.NodeErrors.Add(1)
 		d.retireSource(ev)
-	}
-}
-
-// sleepWakeable waits without outliving the run context, returning early
-// when new work arrives.
-func (d *stealDispatcher) sleepWakeable(dur time.Duration) {
-	t := time.NewTimer(dur)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-d.wake:
-	case <-d.e.ctx.Done():
 	}
 }
 

@@ -19,20 +19,36 @@ type Flow struct {
 	Session uint64
 
 	// SourceTimeout, when nonzero, asks the source function to poll with
-	// a deadline and return ErrNoData on expiry. The event engine sets
-	// it so the dispatcher is never blocked indefinitely inside a source
-	// (the select-with-timeout pattern of §4.2).
+	// a deadline and return ErrNoData on expiry. The event and
+	// work-stealing engines set it so the dispatcher is never blocked
+	// indefinitely inside a source (the select-with-timeout pattern of
+	// §4.2). A source that knows when its next record is due need not
+	// wait out the deadline there: IntervalSource returns ErrNoData at
+	// once and the engine parks it off the dispatch queue until its tick
+	// falls due (or the run is cancelled).
 	SourceTimeout time.Duration
 
-	// Wake, when non-nil, is signaled by the event engine when other
-	// work arrives while a source is polling. Channel-based sources
-	// should include it in their select and return ErrNoData — the
-	// paper's server blocks in one select watching all activity, so any
-	// completion wakes it; Wake is that "other activity" signal for
-	// sources that only watch their own readiness. Sources that ignore
-	// it still work, at the cost of holding the dispatcher for up to
+	// Wake, when non-nil, is signaled by the event and work-stealing
+	// engines when ready work — a flow continuation, an offloaded node's
+	// result, an external admission — arrives while a source is polling.
+	// Channel-based sources should include it in their select and return
+	// ErrNoData — the paper's server blocks in one select watching all
+	// activity, so any completion wakes it; Wake is that "other
+	// activity" signal for sources that only watch their own readiness.
+	// Other sources' pending polls are not work and never signal it, so
+	// an idle engine's sources block for their full deadline instead of
+	// pre-empting each other in a spin. Sources that ignore it still
+	// work, at the cost of holding the dispatcher for up to
 	// SourceTimeout per poll.
 	Wake <-chan struct{}
+
+	// parkable marks an event or work-stealing engine's poll context: a
+	// source that knows when its next record is due may set due and
+	// return ErrNoData, and the engine takes it off the dispatch queue
+	// until then (parkSource). Thread and pool engines and bare flows
+	// leave it false, so sources there wait as before.
+	parkable bool
+	due      time.Time
 
 	// path accumulates the Ball-Larus path register: one addition per
 	// traversed edge (§5.2).

@@ -6,10 +6,14 @@ import (
 )
 
 // IntervalSource builds a source that fires every interval, emitting the
-// tick count. Unlike a naive timer loop it honors Flow.SourceTimeout: on
-// the event engine the dispatcher is held for at most the polling
-// deadline, returning ErrNoData until the interval elapses — a timer
-// flow must never wedge the event queue (§3.2.2).
+// tick count. A timer flow must never wedge the event queue (§3.2.2): on
+// the event and work-stealing engines a poll before the tick is due
+// returns ErrNoData at once, carrying the due time, and the engine parks
+// the source off its dispatch queue until the tick falls due — or at
+// once when the run is cancelled, so shutdown never waits out an
+// interval. Elsewhere it honors Flow.SourceTimeout: the caller is held
+// for at most the polling deadline, returning ErrNoData until the
+// interval elapses; with no deadline it blocks until the tick.
 func IntervalSource(interval time.Duration) SourceFunc {
 	var mu sync.Mutex
 	var next time.Time
@@ -24,6 +28,10 @@ func IntervalSource(interval time.Duration) SourceFunc {
 		mu.Unlock()
 
 		wait := time.Until(target)
+		if wait > 0 && fl.parkable {
+			fl.due = target
+			return nil, ErrNoData
+		}
 		if fl.SourceTimeout > 0 && wait > fl.SourceTimeout {
 			t := time.NewTimer(fl.SourceTimeout)
 			defer t.Stop()

@@ -538,6 +538,8 @@ func (s *Server) freeFlow(fl *Flow) {
 	fl.Session = 0
 	fl.SourceTimeout = 0
 	fl.Wake = nil
+	fl.parkable = false
+	fl.due = time.Time{}
 	fl.path = 0
 	fl.srv = nil
 	fl.src = nil

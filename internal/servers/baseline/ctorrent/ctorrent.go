@@ -131,6 +131,8 @@ func (s *Server) servePeer(conn net.Conn) {
 			if length > torrent.BlockSize {
 				return
 			}
+			// blk is a read-only view of the store; it is only
+			// copied into the response frame.
 			blk, err := s.store.ReadBlock(int(index), int64(begin), int64(length))
 			if err != nil {
 				return

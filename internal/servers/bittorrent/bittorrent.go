@@ -284,6 +284,11 @@ type Server struct {
 	// trackerTick paces the tracker flow.
 	trackerTick runtime.SourceFunc
 
+	// pollTimer is the Poll source's select timeout, re-armed on every
+	// poll instead of allocated: the runtime polls a source from one
+	// goroutine at a time.
+	pollTimer *time.Timer
+
 	startOnce sync.Once
 	started   chan struct{}
 }
@@ -584,29 +589,40 @@ func (s *Server) poll(fl *runtime.Flow) (runtime.Record, error) {
 	if fl.SourceTimeout > 0 && fl.SourceTimeout < wait {
 		wait = fl.SourceTimeout
 	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	if fl.Wake != nil {
-		select {
-		case item := <-s.inbox:
-			return runtime.Record{&pollToken{item: item}}, nil
-		case <-t.C:
-			return runtime.Record{&pollToken{}}, nil
-		case <-fl.Wake:
-			// The engine has pending work; yield without consuming the
-			// empty-poll path (which would count as a flow).
-			return nil, runtime.ErrNoData
-		case <-fl.Ctx.Done():
-			return nil, fl.Ctx.Err()
-		}
+	t := s.pollTimer
+	if t == nil {
+		t = time.NewTimer(wait)
+		s.pollTimer = t
+	} else {
+		t.Reset(wait)
 	}
+	// A nil Wake (engines without one) never fires.
 	select {
 	case item := <-s.inbox:
+		stopTimer(t)
 		return runtime.Record{&pollToken{item: item}}, nil
 	case <-t.C:
 		return runtime.Record{&pollToken{}}, nil
+	case <-fl.Wake:
+		// The engine has pending work; yield without consuming the
+		// empty-poll path (which would count as a flow).
+		stopTimer(t)
+		return nil, runtime.ErrNoData
 	case <-fl.Ctx.Done():
+		stopTimer(t)
 		return nil, fl.Ctx.Err()
+	}
+}
+
+// stopTimer stops a timer whose expiry was not received and drains a
+// stale one, so the next Reset starts clean under either timer-channel
+// semantics.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
 	}
 }
 

@@ -219,6 +219,7 @@ func (s *Server) onRequest(fl *runtime.Flow, in runtime.Record) (runtime.Record,
 	if req.Length > torrent.BlockSize {
 		return nil, fmt.Errorf("bittorrent: request of %d bytes", req.Length)
 	}
+	// blk is a read-only view of the store; send writes it as is.
 	blk, err := s.store.ReadBlock(int(req.Index), int64(req.Begin), int64(req.Length))
 	if err != nil {
 		return nil, err

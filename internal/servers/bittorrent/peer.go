@@ -2,6 +2,7 @@ package bittorrent
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -68,13 +69,20 @@ type Peer struct {
 	writeMu sync.Mutex
 	closed  atomic.Bool
 
+	// hdr, iov and vec are the piece frame's header and writev vector
+	// (writePiece), reused across sends under writeMu.
+	hdr [13]byte
+	iov [2][]byte
+	vec net.Buffers
+
 	bytesOut atomic.Uint64
 	bytesIn  atomic.Uint64
 }
 
 // send writes one message, serialized per peer. It targets the raw
 // socket, never the pooled Conn, so late sends racing retirement fail
-// with a write error instead of touching recycled state.
+// with a write error instead of touching recycled state. Piece frames
+// go out zero-copy (writePiece); every other kind through WriteMessage.
 func (p *Peer) send(m *Message) error {
 	p.writeMu.Lock()
 	defer p.writeMu.Unlock()
@@ -84,7 +92,13 @@ func (p *Peer) send(m *Message) error {
 	if p.writeTimeout > 0 {
 		_ = p.nc.SetWriteDeadline(time.Now().Add(p.writeTimeout))
 	}
-	if err := WriteMessage(p.nc, m); err != nil {
+	var err error
+	if m.ID == MsgPiece {
+		err = p.writePiece(m)
+	} else {
+		err = WriteMessage(p.nc, m)
+	}
+	if err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
 			if p.onWriteTimeout != nil {
@@ -100,6 +114,21 @@ func (p *Peer) send(m *Message) error {
 		p.bytesOut.Add(uint64(len(m.Payload)))
 	}
 	return nil
+}
+
+// writePiece sends a piece frame as one writev of its 13-byte header
+// (length prefix, ID, index, begin) and the block itself, so the block —
+// a read-only view of the store (torrent.Store.ReadBlock) — is never
+// copied. The caller holds writeMu.
+func (p *Peer) writePiece(m *Message) error {
+	binary.BigEndian.PutUint32(p.hdr[0:4], uint32(9+len(m.Payload)))
+	p.hdr[4] = MsgPiece
+	binary.BigEndian.PutUint32(p.hdr[5:9], m.Index)
+	binary.BigEndian.PutUint32(p.hdr[9:13], m.Begin)
+	p.iov = [2][]byte{p.hdr[:], m.Payload}
+	p.vec = p.iov[:]
+	_, err := p.vec.WriteTo(p.nc)
+	return err
 }
 
 // interrupt closes the raw socket once, unblocking the pump (which then

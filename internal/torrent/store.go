@@ -70,7 +70,13 @@ func (s *Store) Complete() bool {
 	return s.have.Complete(s.meta.NumPieces())
 }
 
-// ReadBlock serves a verified block (the "piece" wire message payload).
+// ReadBlock serves a verified block (the "piece" wire message payload)
+// without copying it: the result is a view of the store's content,
+// capacity-capped so an append cannot reach the next block. Verified
+// pieces are immutable — WriteBlock ignores blocks of a piece it has
+// verified — so the view never changes under a reader and may be
+// written to a socket after the store's lock is released. It is
+// read-only: callers must not modify it.
 func (s *Store) ReadBlock(piece int, begin, length int64) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -82,9 +88,7 @@ func (s *Store) ReadBlock(piece int, begin, length int64) ([]byte, error) {
 		return nil, fmt.Errorf("torrent: block [%d,+%d) outside piece %d (size %d)", begin, length, piece, psize)
 	}
 	off := int64(piece)*s.meta.PieceLength + begin
-	out := make([]byte, length)
-	copy(out, s.data[off:off+length])
-	return out, nil
+	return s.data[off : off+length : off+length], nil
 }
 
 // ErrBadPiece reports a completed piece whose hash did not verify; the
