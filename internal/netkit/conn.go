@@ -183,15 +183,17 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.nc.SetReadDeadline(
 
 // Close closes the connection and returns its pooled state. It is
 // idempotent; the first call wins. The plane's live-connection tracking
-// is released here, so MaxConns accounting follows ownership exactly.
+// is released here, so MaxConns accounting follows ownership exactly —
+// and released before the socket closes, so a peer that has seen EOF
+// never finds the connection still counted live.
 func (c *Conn) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	err := c.nc.Close()
 	if c.plane != nil {
 		c.plane.untrack(c)
 	}
+	err := c.nc.Close()
 	br := c.br
 	c.br = nil
 	c.nc = nil

@@ -224,10 +224,8 @@ func (p *Plane) acceptLoop(ln net.Listener) {
 				p.ShedConn(c, "closed")
 				continue
 			}
-			if err := p.cfg.Admit(c); err != nil {
+			if err := p.admit(c); err != nil {
 				p.ShedConn(c, "refused")
-			} else {
-				p.admitted.Add(1)
 			}
 		}
 	}
@@ -246,12 +244,24 @@ func (p *Plane) AdoptAndAdmit(nc net.Conn) error {
 		p.dropConn(c, "closed")
 		return ErrPlaneClosed
 	}
-	if err := p.cfg.Admit(c); err != nil {
+	if err := p.admit(c); err != nil {
 		p.dropConn(c, "refused")
 		return err
 	}
-	p.admitted.Add(1)
 	return nil
+}
+
+// admit hands a tracked connection to Admit. It is counted admitted
+// first and uncounted on refusal: the owner may serve and close the
+// connection before Admit even returns, and a peer that has seen the
+// whole exchange must find it counted.
+func (p *Plane) admit(c *Conn) error {
+	p.admitted.Add(1)
+	err := p.cfg.Admit(c)
+	if err != nil {
+		p.admitted.Add(^uint64(0))
+	}
+	return err
 }
 
 // ShedConn sheds a connection the server cannot serve right now: the
@@ -286,8 +296,11 @@ const (
 // shed would then surface as a read error and corrupt the very
 // sheds-vs-errors split overload measurements depend on. The FIN from
 // CloseWrite tells the client the response is complete; the bounded
-// drain absorbs its pipeline until it hangs up.
+// drain absorbs its pipeline until it hangs up. Plane membership (an
+// Admit refusal sheds a tracked conn) is dropped before the FIN, as in
+// Conn.Close.
 func drainAndClose(c *Conn) {
+	c.plane.untrack(c)
 	if tc, ok := c.nc.(*net.TCPConn); ok {
 		_ = tc.CloseWrite()
 	}

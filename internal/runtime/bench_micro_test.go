@@ -304,7 +304,6 @@ func BenchmarkQueuePushPop(b *testing.B) {
 func BenchmarkInject(b *testing.B) {
 	for _, kind := range []EngineKind{ThreadPerFlow, ThreadPool, EventDriven, WorkStealing} {
 		b.Run(kind.String(), func(b *testing.B) {
-			p := compileBench(b, microSrc)
 			pass := func(fl *Flow, in Record) (Record, error) { return in, nil }
 			bnd := NewBindings().
 				BindSource("Gen", func(fl *Flow) (Record, error) { return nil, ErrStop }).
@@ -312,43 +311,80 @@ func BenchmarkInject(b *testing.B) {
 				BindNode("B", pass).
 				BindNode("C", pass).
 				BindNode("Sink", func(fl *Flow, in Record) (Record, error) { return nil, nil })
-			s, err := NewServer(p, bnd, Config{Kind: kind, PoolSize: 8,
-				SourceTimeout: time.Millisecond, KeepAlive: true})
-			if err != nil {
-				b.Fatalf("NewServer: %v", err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			if err := s.Start(ctx); err != nil {
-				b.Fatalf("Start: %v", err)
-			}
-			h, err := s.Source("Gen")
-			if err != nil {
-				b.Fatalf("Source: %v", err)
-			}
-			rec := Record{1}
-			completed := &s.stats.Completed
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Steady state, not unbounded backlog: a real admission
-				// plane runs against a server that keeps up, so cap the
-				// in-flight count and let the engine drain. Without this
-				// the benchmark measures queue growth (flows parked in
-				// the FIFO cannot recycle), not the admission path.
-				for i-int(completed.Load()) > 4*eventBatch {
-					runtime.Gosched()
-				}
-				if err := h.Inject(rec); err != nil {
-					b.Fatalf("Inject: %v", err)
-				}
-			}
-			b.StopTimer()
-			cancel()
-			_ = s.Wait()
-			if got := s.Stats().Snapshot().Completed; got != uint64(b.N) {
-				b.Fatalf("completed = %d, want %d", got, b.N)
-			}
+			benchInjected(b, kind, microSrc, bnd)
 		})
+	}
+}
+
+// offloadSrc is one blocking node followed by one non-blocking node: the
+// flow leaves its dispatcher for the async pool and its result comes
+// back to a dispatcher before the flow finishes.
+const offloadSrc = `
+Gen () => (int v);
+Block (int v) => (int v);
+Done (int v) => ();
+source Gen => F;
+F = Block -> Done;
+`
+
+// BenchmarkOffloadRoundTrip measures the async-offload round trip on the
+// engines that have one: an injected flow runs a MarkBlocking node on
+// the async pool, then its result wakes a dispatcher for the closing
+// non-blocking node. Below saturation the dispatcher parks between
+// flows, so every op pays one dispatcher wake-up — the handoff cost a
+// request-response server sees per request. Gated by CI at 0 allocs/flow.
+func BenchmarkOffloadRoundTrip(b *testing.B) {
+	for _, kind := range []EngineKind{EventDriven, WorkStealing} {
+		b.Run(kind.String(), func(b *testing.B) {
+			bnd := NewBindings().
+				BindSource("Gen", func(fl *Flow) (Record, error) { return nil, ErrStop }).
+				BindNode("Block", func(fl *Flow, in Record) (Record, error) { return in, nil }).
+				BindNode("Done", func(fl *Flow, in Record) (Record, error) { return nil, nil }).
+				MarkBlocking("Block")
+			benchInjected(b, kind, offloadSrc, bnd)
+		})
+	}
+}
+
+// benchInjected runs src as a keep-alive server on kind and injects one
+// shared record per op through a pre-resolved SourceHandle on Gen.
+func benchInjected(b *testing.B, kind EngineKind, src string, bnd *Bindings) {
+	p := compileBench(b, src)
+	s, err := NewServer(p, bnd, Config{Kind: kind, PoolSize: 8,
+		SourceTimeout: time.Millisecond, KeepAlive: true})
+	if err != nil {
+		b.Fatalf("NewServer: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := s.Start(ctx); err != nil {
+		b.Fatalf("Start: %v", err)
+	}
+	h, err := s.Source("Gen")
+	if err != nil {
+		b.Fatalf("Source: %v", err)
+	}
+	rec := Record{1}
+	completed := &s.stats.Completed
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Steady state, not unbounded backlog: a real admission plane
+		// runs against a server that keeps up, so cap the in-flight
+		// count and let the engine drain. Without this the benchmark
+		// measures queue growth (flows parked in the FIFO cannot
+		// recycle), not the admission path.
+		for i-int(completed.Load()) > 4*eventBatch {
+			runtime.Gosched()
+		}
+		if err := h.Inject(rec); err != nil {
+			b.Fatalf("Inject: %v", err)
+		}
+	}
+	b.StopTimer()
+	cancel()
+	_ = s.Wait()
+	if got := s.Stats().Snapshot().Completed; got != uint64(b.N) {
+		b.Fatalf("completed = %d, want %d", got, b.N)
 	}
 }
 

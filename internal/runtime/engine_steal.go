@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -21,6 +20,10 @@ import (
 // Scheduling follows the shape of multicore runtime schedulers (Go's own
 // P-local run queues, Cilk-style deques):
 //
+//   - dispatchers are plain goroutines, not pinned to OS threads: Go's
+//     P-local run queue already readies a woken dispatcher on the
+//     waker's core, which is the locality a pin would buy, and a pin
+//     turns every wake into a futex handoff between OS threads;
 //   - each dispatcher owns a deque of events: it pushes and pops at the
 //     LIFO end, so a flow's continuation runs while its state is still
 //     cache-hot, and sources re-queue locally, keeping a flow's whole
@@ -349,11 +352,11 @@ func (d *stealDispatcher) requeueSource(ev event) {
 	d.signalWake()
 }
 
-// loop is the dispatcher body. With at most one dispatcher per core
-// (the default), each is pinned to an OS thread, approximating the
-// per-core event loops of multicore event designs and keeping a deque's
-// cache lines home; oversubscribed configurations stay unpinned so
-// dispatcher switches remain cheap goroutine switches.
+// loop is the dispatcher body. It runs as a plain goroutine, never
+// pinned to an OS thread: a woken dispatcher is readied on the waker's
+// P (runnext), where a pinned one would cost a futex handoff between OS
+// threads on every park and unpark — on a request-response server
+// below saturation, one per request.
 //
 // Local work is claimed in owner-side batches (nextBatch), one deque
 // mutex round trip per stealBatch events instead of one per event. The
@@ -365,10 +368,6 @@ func (d *stealDispatcher) requeueSource(ev event) {
 // the same bound the event engine accepts.
 func (d *stealDispatcher) loop() {
 	e := d.e
-	if len(e.disp) <= runtime.GOMAXPROCS(0) {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	var buf [stealBatch]event
 	for {
 		n, ok := d.nextBatch(buf[:])
