@@ -17,6 +17,8 @@ import (
 
 	flux "github.com/flux-lang/flux"
 	"github.com/flux-lang/flux/internal/loadgen"
+	"github.com/flux-lang/flux/internal/netkit"
+	fluxrt "github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/servers/baseline/ctorrent"
 	"github.com/flux-lang/flux/internal/servers/baseline/knotweb"
 	"github.com/flux-lang/flux/internal/servers/baseline/sedaweb"
@@ -250,7 +252,10 @@ func BenchmarkFigure6SimVsActual(b *testing.B) {
 		prof := flux.NewProfiler()
 		srv, err := imageserver.New(imageserver.Config{
 			Engine: flux.ThreadPool, PoolSize: 8,
-			CompressWork: compressWork, CacheBytes: 1, Profiler: prof,
+			CompressWork: compressWork, CacheBytes: 1,
+			ServeConfig: netkit.ServeConfig{
+				Observer: fluxrt.ObserveProfiler(prof),
+			},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -294,7 +299,9 @@ func BenchmarkPathProfileBitTorrent(b *testing.B) {
 		Meta: meta, Content: data,
 		Engine: flux.ThreadPool, PoolSize: 16,
 		PollInterval: 300 * time.Microsecond,
-		Profiler:     prof,
+		ServeConfig: netkit.ServeConfig{
+			Observer: fluxrt.ObserveProfiler(prof),
+		},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -414,7 +421,7 @@ func BenchmarkAblationProfilingOverhead(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			cfg := webserver.Config{Files: files, Engine: flux.ThreadPool, PoolSize: 16}
 			if mode == "profiled" {
-				cfg.Profiler = flux.NewProfiler()
+				cfg.Observer = fluxrt.ObserveProfiler(flux.NewProfiler())
 			}
 			srv, err := webserver.New(cfg)
 			if err != nil {

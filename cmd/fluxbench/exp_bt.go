@@ -8,6 +8,8 @@ import (
 
 	flux "github.com/flux-lang/flux"
 	"github.com/flux-lang/flux/internal/loadgen"
+	"github.com/flux-lang/flux/internal/netkit"
+	"github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/servers/baseline/ctorrent"
 	"github.com/flux-lang/flux/internal/servers/bittorrent"
 	"github.com/flux-lang/flux/internal/torrent"
@@ -124,7 +126,9 @@ func btTargets(cfg benchConfig) []btTarget {
 				Engine:        kind,
 				PoolSize:      64,
 				SourceTimeout: 5 * time.Millisecond,
-				Telemetry:     cfg.tel,
+				ServeConfig: netkit.ServeConfig{
+					Telemetry: cfg.tel,
+				},
 			})
 			if err != nil {
 				return "", nil, err
@@ -205,8 +209,10 @@ func expSwarm(cfg benchConfig) error {
 			ChokeInterval:    250 * time.Millisecond,
 			HandshakeTimeout: 5 * time.Second,
 			IdleTimeout:      60 * time.Second,
-			MaxConns:         maxConns,
-			Telemetry:        cfg.tel,
+			ServeConfig: netkit.ServeConfig{
+				MaxConns:  maxConns,
+				Telemetry: cfg.tel,
+			},
 		})
 		if err != nil {
 			return err
@@ -278,8 +284,10 @@ func expProfile(cfg benchConfig) error {
 		Engine:       flux.ThreadPool,
 		PoolSize:     32,
 		PollInterval: 500 * time.Microsecond,
-		Profiler:     prof,
-		Telemetry:    cfg.tel,
+		ServeConfig: netkit.ServeConfig{
+			Observer:  runtime.ObserveProfiler(prof),
+			Telemetry: cfg.tel,
+		},
 	})
 	if err != nil {
 		return err

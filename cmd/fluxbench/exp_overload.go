@@ -6,6 +6,7 @@ import (
 
 	flux "github.com/flux-lang/flux"
 	"github.com/flux-lang/flux/internal/loadgen"
+	"github.com/flux-lang/flux/internal/netkit"
 	"github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/servers/webserver"
 	"github.com/flux-lang/flux/internal/telemetry"
@@ -132,12 +133,12 @@ func expOverload(cfg benchConfig) error {
 	var traces []*flux.Telemetry
 	targets := []webTarget{
 		{"flux-static", func(*loadgen.FileSet) (string, func(), error) {
-			return startFlux(webserver.Config{AdmitWatermark: watermark, MaxConns: 2 * watermark})
+			return startFlux(webserver.Config{ServeConfig: netkit.ServeConfig{AdmitWatermark: watermark, MaxConns: 2 * watermark}})
 		}},
 		{"flux-adaptive", func(*loadgen.FileSet) (string, func(), error) {
 			tr := flux.NewTelemetry()
 			traces = append(traces, tr)
-			return startFlux(webserver.Config{TargetP95: targetP95, Observer: tr})
+			return startFlux(webserver.Config{ServeConfig: netkit.ServeConfig{TargetP95: targetP95, Observer: tr}})
 		}},
 		{"flux-event-unbd", func(*loadgen.FileSet) (string, func(), error) {
 			return startFlux(webserver.Config{})

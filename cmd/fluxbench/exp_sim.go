@@ -8,6 +8,8 @@ import (
 
 	flux "github.com/flux-lang/flux"
 	"github.com/flux-lang/flux/internal/loadgen"
+	"github.com/flux-lang/flux/internal/netkit"
+	fluxrt "github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/servers/imageserver"
 )
 
@@ -105,8 +107,10 @@ func profileImageServer(cfg benchConfig, prof *flux.Profiler, compressWork, dura
 		PoolSize:     8,
 		CompressWork: compressWork,
 		CacheBytes:   1, // disable caching: every request compresses
-		Profiler:     prof,
-		Telemetry:    cfg.tel,
+		ServeConfig: netkit.ServeConfig{
+			Observer:  fluxrt.ObserveProfiler(prof),
+			Telemetry: cfg.tel,
+		},
 	})
 	if err != nil {
 		return nil, 0, err
@@ -136,7 +140,9 @@ func measureImageServer(cfg benchConfig, compressWork time.Duration, offered flo
 		PoolSize:     64,
 		CompressWork: compressWork,
 		CacheBytes:   1,
-		Telemetry:    cfg.tel,
+		ServeConfig: netkit.ServeConfig{
+			Telemetry: cfg.tel,
+		},
 	})
 	if err != nil {
 		return 0, err

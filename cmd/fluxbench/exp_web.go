@@ -8,6 +8,8 @@ import (
 
 	flux "github.com/flux-lang/flux"
 	"github.com/flux-lang/flux/internal/loadgen"
+	"github.com/flux-lang/flux/internal/netkit"
+	"github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/servers/baseline/knotweb"
 	"github.com/flux-lang/flux/internal/servers/baseline/sedaweb"
 	"github.com/flux-lang/flux/internal/servers/webserver"
@@ -342,10 +344,12 @@ func webTargets(cfg benchConfig, files *loadgen.FileSet) []webTarget {
 				Engine:        kind,
 				PoolSize:      64,
 				SourceTimeout: 20 * time.Millisecond,
-				Telemetry:     cfg.tel,
+				ServeConfig: netkit.ServeConfig{
+					Telemetry: cfg.tel,
+				},
 			}
 			if cfg.prof != nil {
-				c.Profiler = cfg.prof
+				c.Observer = runtime.ObserveProfiler(cfg.prof)
 			}
 			srv, err := webserver.New(c)
 			if err != nil {

@@ -22,6 +22,8 @@ import (
 
 	flux "github.com/flux-lang/flux"
 	"github.com/flux-lang/flux/internal/loadgen"
+	"github.com/flux-lang/flux/internal/netkit"
+	"github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/servers/imageserver"
 )
 
@@ -33,11 +35,13 @@ func main() {
 
 	prof := flux.NewProfiler()
 	srv, err := imageserver.New(imageserver.Config{
-		Addr:          *addr,
 		Engine:        engineKind(*engine),
 		SourceTimeout: 5 * time.Millisecond,
 		CompressWork:  2 * time.Millisecond, // calibrated compression cost
-		Profiler:      prof,
+		ServeConfig: netkit.ServeConfig{
+			Addr:     *addr,
+			Observer: runtime.ObserveProfiler(prof),
+		},
 	})
 	if err != nil {
 		log.Fatal(err)

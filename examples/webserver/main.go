@@ -19,6 +19,7 @@ import (
 
 	flux "github.com/flux-lang/flux"
 	"github.com/flux-lang/flux/internal/loadgen"
+	"github.com/flux-lang/flux/internal/netkit"
 	"github.com/flux-lang/flux/internal/servers/webserver"
 )
 
@@ -31,10 +32,12 @@ func main() {
 
 	files := loadgen.NewFileSet(*dirs)
 	srv, err := webserver.New(webserver.Config{
-		Addr:          *addr,
 		Files:         files,
 		Engine:        engineKind(*engine),
 		SourceTimeout: 5 * time.Millisecond,
+		ServeConfig: netkit.ServeConfig{
+			Addr: *addr,
+		},
 	})
 	if err != nil {
 		log.Fatal(err)

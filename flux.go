@@ -66,7 +66,6 @@ import (
 
 	"github.com/flux-lang/flux/internal/codegen"
 	"github.com/flux-lang/flux/internal/core"
-	"github.com/flux-lang/flux/internal/lang/parser"
 	"github.com/flux-lang/flux/internal/profile"
 	"github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/sim"
@@ -91,13 +90,7 @@ type FlatNode = core.FlatNode
 // Compile parses and analyzes a Flux program. The name appears in
 // diagnostics. Compilation warnings are available on the returned
 // program's Warnings field.
-func Compile(name, src string) (*Program, error) {
-	astProg, err := parser.Parse(name, src)
-	if err != nil {
-		return nil, err
-	}
-	return core.Build(astProg)
-}
+func Compile(name, src string) (*Program, error) { return core.Compile(name, src) }
 
 // Runtime types, re-exported.
 type (

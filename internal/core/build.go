@@ -4,8 +4,19 @@ import (
 	"fmt"
 
 	"github.com/flux-lang/flux/internal/lang/ast"
+	"github.com/flux-lang/flux/internal/lang/parser"
 	"github.com/flux-lang/flux/internal/lang/token"
 )
+
+// Compile parses a Flux program and builds it: the one front-to-middle
+// pipeline every caller shares. The name appears in diagnostics.
+func Compile(name, src string) (*Program, error) {
+	prog, err := parser.Parse(name, src)
+	if err != nil {
+		return nil, err
+	}
+	return Build(prog)
+}
 
 // Build runs the complete middle-end pipeline over a parsed program and
 // returns the analyzed Program, ready for a runtime, simulator, profiler,

@@ -16,6 +16,7 @@ package netkit
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -48,7 +49,8 @@ type Conn struct {
 	// writeTimeout, when > 0, arms a write deadline before every write
 	// through the Conn (Write, WriteVec, SendFile), so a dead or
 	// zero-window client cannot pin the writing goroutine forever —
-	// the write-side twin of the owners' read deadlines.
+	// the write-side twin of the owners' read deadlines. A popped
+	// deadline is counted on the plane as a "write-timeout" shed.
 	writeTimeout time.Duration
 
 	// vec and vecBack are the reusable two-element scatter list for
@@ -94,8 +96,26 @@ func (c *Conn) NetConn() net.Conn { return c.nc }
 // Write writes directly to the underlying connection, under the plane's
 // write deadline when one is configured.
 func (c *Conn) Write(p []byte) (int, error) {
+	n, err := c.write(p)
+	c.countWriteTimeout(err)
+	return n, err
+}
+
+// write is Write without the shed accounting — for the plane's own shed
+// response, whose failure is counted under the shed's reason.
+func (c *Conn) write(p []byte) (int, error) {
 	c.armWriteDeadline()
 	return c.nc.Write(p)
+}
+
+// countWriteTimeout counts a popped write deadline as a "write-timeout"
+// shed on the plane: the server gave up on a dead or zero-window
+// client. The owner's error path still owns the close.
+func (c *Conn) countWriteTimeout(err error) {
+	var ne net.Error
+	if err != nil && c.plane != nil && errors.As(err, &ne) && ne.Timeout() {
+		c.plane.CountShed("write-timeout")
+	}
 }
 
 // armWriteDeadline starts the write-timeout clock for the next write.
@@ -134,6 +154,7 @@ func (c *Conn) WriteVec(head, body []byte) error {
 		err = io.ErrShortWrite
 	}
 	if err != nil {
+		c.countWriteTimeout(err)
 		// Tear the transport down mid-frame: the conn must never carry
 		// another response after a partial one.
 		_ = c.nc.Close()
@@ -151,6 +172,7 @@ func (c *Conn) SendFile(head []byte, f *os.File, size int64) error {
 	c.armWriteDeadline()
 	if len(head) > 0 {
 		if n, err := c.nc.Write(head); err != nil {
+			c.countWriteTimeout(err)
 			_ = c.nc.Close()
 			return fmt.Errorf("netkit: sendfile header %d/%d bytes: %w", n, len(head), err)
 		}
@@ -169,6 +191,7 @@ func (c *Conn) SendFile(head []byte, f *os.File, size int64) error {
 		err = io.ErrShortWrite
 	}
 	if err != nil {
+		c.countWriteTimeout(err)
 		_ = c.nc.Close()
 		return fmt.Errorf("netkit: sendfile body %d/%d bytes: %w", n, size, err)
 	}

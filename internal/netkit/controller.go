@@ -187,23 +187,6 @@ func NewController(cfg ControllerConfig, gate *Gate, plane *Plane) (*Controller,
 	return c, nil
 }
 
-// BindPlane attaches a connection plane built after the controller —
-// hosts must wire the controller into the runtime's observer chain
-// before the runtime exists, and the plane can only be opened against
-// the built runtime. Call before Start; a nil plane or a second bind
-// is a no-op. Binding wires the shed counter (when not already set)
-// and applies the current watermark's conn cap.
-func (c *Controller) BindPlane(p *Plane) {
-	if p == nil || c.plane != nil {
-		return
-	}
-	c.plane = p
-	if c.cfg.Sheds == nil {
-		c.cfg.Sheds = func() uint64 { return p.Stats().Shed }
-	}
-	c.applyWatermark(c.gate.Watermark())
-}
-
 // FlowDone implements runtime.Observer: completed flows are served
 // requests, and their elapsed time is the controller's input signal.
 // Errored and dropped flows carry no service latency (a disconnecting

@@ -65,20 +65,6 @@ func NewGate(watermark int) *Gate {
 	return g
 }
 
-// NewGateObserver is the admission-gate wiring every gated server
-// repeats: it builds the gate (nil when watermark <= 0) and returns
-// the observer to hand the runtime — the gate composed with obs, or
-// obs unchanged without one. Composing by hand invites the typed-nil
-// trap (MultiObserver cannot tell a nil *Gate from a live observer);
-// this helper is the one place that gets it right.
-func NewGateObserver(watermark int, obs runtime.Observer) (*Gate, runtime.Observer) {
-	if watermark <= 0 {
-		return nil, obs
-	}
-	g := NewGate(watermark)
-	return g, runtime.MultiObserver(obs, g)
-}
-
 // Watermark returns the current threshold.
 func (g *Gate) Watermark() int { return int(g.watermark.Load()) }
 

@@ -332,6 +332,49 @@ func TestTrackRefusedWhileClosing(t *testing.T) {
 	}
 }
 
+// TestWriteTimeoutCountedOnce: a popped write deadline on a plane Conn
+// is counted by the Conn itself as one "write-timeout" shed, whichever
+// write path popped; a shed whose own 503 write pops counts once, under
+// the shed's reason and not also as a write-timeout.
+func TestWriteTimeoutCountedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(p *Plane, c *Conn)
+		want  string
+	}{
+		{"write", func(p *Plane, c *Conn) { _, _ = c.Write([]byte("x")) }, "wt/write-timeout"},
+		{"writevec", func(p *Plane, c *Conn) { _ = c.WriteVec([]byte("h"), []byte("b")) }, "wt/write-timeout"},
+		{"shed-response", func(p *Plane, c *Conn) { p.ShedConn(c, "overload") }, "wt/overload"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := newShedRecorder()
+			p, err := Listen(Config{
+				Name:         "wt",
+				Observer:     rec,
+				WriteTimeout: 20 * time.Millisecond,
+				ShedResponse: httpkit.Unavailable(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Shutdown(context.Background())
+			// net.Pipe is unbuffered: every write blocks until the peer
+			// reads, and this peer never does.
+			srv, cli := net.Pipe()
+			defer cli.Close()
+			c := newConn(p, srv)
+			tc.write(p, c)
+			c.Close()
+			if got := p.Stats().Shed; got != 1 {
+				t.Errorf("plane sheds = %d, want 1", got)
+			}
+			if got := rec.count(tc.want); got != 1 {
+				t.Errorf("observer sheds under %q = %d, want 1", tc.want, got)
+			}
+		})
+	}
+}
+
 // TestConnCloseIdempotent: double Close must not double-recycle pooled
 // state (two goroutines would then share one Conn).
 func TestConnCloseIdempotent(t *testing.T) {

@@ -270,7 +270,7 @@ func (p *Plane) admit(c *Conn) error {
 // through the Observer plane — never a silent default-branch close.
 func (p *Plane) ShedConn(c *Conn, reason string) {
 	if p.cfg.ShedResponse != nil {
-		if _, err := c.Write(p.cfg.ShedResponse); err == nil {
+		if _, err := c.write(p.cfg.ShedResponse); err == nil {
 			p.shed.Add(1)
 			runtime.ConnShed(p.cfg.Observer, p.name, reason)
 			// Closing off the accept goroutine: the drain below can wait

@@ -419,6 +419,15 @@ func (e *inlineEngine) Start(ctx context.Context) error {
 			}
 		}(st)
 	}
+	if e.s.cfg.KeepAlive {
+		// Like the built-in engines: stay up for Inject flows after the
+		// real sources exhaust, until cancellation.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-ctx.Done()
+		}()
+	}
 	go func() {
 		wg.Wait()
 		close(e.done)

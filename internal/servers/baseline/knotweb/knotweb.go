@@ -18,9 +18,7 @@ package knotweb
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -210,11 +208,7 @@ func (s *Server) serveConn(c *netkit.Conn) {
 			_, err = c.Write(resp)
 		}
 		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				s.plane.CountShed("write-timeout")
-			}
-			return
+			return // a popped write deadline is counted by the plane
 		}
 		s.served.Add(1)
 		c.Served++

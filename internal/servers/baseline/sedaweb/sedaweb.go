@@ -15,9 +15,7 @@ package sedaweb
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -295,10 +293,7 @@ func (s *Server) sendStage(ev *event) {
 		_, err = ev.conn.Write(resp)
 	}
 	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			s.plane.CountShed("write-timeout")
-		}
+		// A popped write deadline is counted by the plane.
 		ev.conn.Close()
 		return
 	}

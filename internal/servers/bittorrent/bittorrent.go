@@ -26,7 +26,6 @@
 package bittorrent
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -34,16 +33,13 @@ import (
 	"io"
 	mrand "math/rand"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/flux-lang/flux/internal/core"
-	"github.com/flux-lang/flux/internal/lang/parser"
 	"github.com/flux-lang/flux/internal/metrics"
 	"github.com/flux-lang/flux/internal/netkit"
 	"github.com/flux-lang/flux/internal/runtime"
-	"github.com/flux-lang/flux/internal/telemetry"
 	"github.com/flux-lang/flux/internal/torrent"
 )
 
@@ -156,10 +152,12 @@ atomic Request:{peerstate(session)?, store?};
 atomic Piece:{peerstate(session), store};
 `
 
-// Config tunes the peer.
+// Config tunes the peer. The embedded ServeConfig carries the listen
+// address, observability, admission, write-timeout and accept sharding
+// knobs every plane-fronted server shares; its WriteTimeout bounds the
+// peer's serialized wire writes (default 30s here).
 type Config struct {
-	// Addr is the TCP listen address (default "127.0.0.1:0").
-	Addr string
+	netkit.ServeConfig
 	// Meta and Content define the torrent; with Content the peer seeds,
 	// without it the peer leeches.
 	Meta    *torrent.MetaInfo
@@ -176,18 +174,10 @@ type Config struct {
 	// PollInterval is the select timeout of the message loop (default
 	// 500µs) — the paper's most frequent path is the empty poll.
 	PollInterval time.Duration
-	// Engine, PoolSize, SourceTimeout, Profiler configure the runtime.
+	// Engine, PoolSize, SourceTimeout configure the runtime.
 	Engine        runtime.EngineKind
 	PoolSize      int
 	SourceTimeout time.Duration
-	Profiler      runtime.Profiler
-	// Observer, when non-nil, joins the runtime's observer plane: flow
-	// terminals, queue depths, per-message-type counters (msg/*), and
-	// the connection plane's shed events.
-	Observer runtime.Observer
-	// Telemetry, when non-nil, rides the observer plane alongside
-	// Observer and receives the connection plane's admission counters.
-	Telemetry *telemetry.Telemetry
 	// MaxUnchoked, when > 0, enables real choking: each choke tick the
 	// tit-for-tat policy unchokes the MaxUnchoked-1 fastest-uploading
 	// interested peers plus one rotating optimistic slot, and chokes
@@ -203,26 +193,6 @@ type Config struct {
 	// same way. 0 waits forever (keep-alives normally arrive every
 	// KeepAliveInterval).
 	IdleTimeout time.Duration
-	// WriteTimeout bounds every serialized wire write (default 30s): a
-	// peer that stops draining its socket mid-frame would otherwise pin
-	// the per-peer write mutex — and every broadcast flow behind it —
-	// forever. On a pop the connection is torn down and the shed counted.
-	WriteTimeout time.Duration
-	// AdmitWatermark, when > 0, bounds admission: once the engine's
-	// sampled queue depths sum past it, fresh peer connections are shed
-	// (closed, counted) until the backlog drains.
-	AdmitWatermark int
-	// MaxConns, when > 0, caps live peer connections; accepts beyond it
-	// are shed. Outbound dials bypass the cap (the server chose them).
-	MaxConns int
-	// QueueSample overrides the queue-depth sampling period (default
-	// 5ms with an AdmitWatermark, else the runtime's 100ms).
-	QueueSample time.Duration
-	// TargetP95, when > 0, puts admission under the SLO controller:
-	// served flow latency is measured on the Observer plane and every
-	// control interval the watermark — and the connection cap — takes
-	// one AIMD step toward holding the window's p95 at the target.
-	TargetP95 time.Duration
 }
 
 // msgKinds enumerates the per-message-type counters, in wire-ID order
@@ -241,13 +211,16 @@ func msgKindIndex(kind string) int {
 	return -1
 }
 
+// cp names the serving scaffold's type so that Server can embed it
+// under a short field name; the embedding promotes the scaffold's
+// lifecycle (Start, Shutdown, Wait, Run) and accessors (Addr, Program,
+// Stats, PlaneStats, Gate, Controller) onto Server.
+type cp = netkit.FluxPlane
+
 // Server is a runnable Flux BitTorrent peer.
 type Server struct {
+	*cp
 	cfg    Config
-	prog   *core.Program
-	rt     *runtime.Server
-	cp     *netkit.FluxPlane
-	ctrl   *netkit.Controller
 	store  *torrent.Store
 	peerID [20]byte
 
@@ -288,9 +261,6 @@ type Server struct {
 	// poll instead of allocated: the runtime polls a source from one
 	// goroutine at a time.
 	pollTimer *time.Timer
-
-	startOnce sync.Once
-	started   chan struct{}
 }
 
 // New compiles the program and prepares the peer.
@@ -314,22 +284,15 @@ func New(cfg Config) (*Server, error) {
 		cfg.HandshakeTimeout = 10 * time.Second
 	}
 	if cfg.WriteTimeout <= 0 {
+		// A peer that stops draining its socket mid-frame would
+		// otherwise pin the per-peer write mutex — and every broadcast
+		// flow behind it — forever.
 		cfg.WriteTimeout = 30 * time.Second
 	}
-	if cfg.TargetP95 > 0 && cfg.AdmitWatermark <= 0 {
-		cfg.AdmitWatermark = 64 // the controller's starting point
-	}
-	if cfg.QueueSample <= 0 && cfg.AdmitWatermark > 0 {
-		cfg.QueueSample = 5 * time.Millisecond
-	}
 
-	astProg, err := parser.Parse("bittorrent.flux", FluxSource)
+	prog, err := core.Compile("bittorrent.flux", FluxSource)
 	if err != nil {
-		return nil, fmt.Errorf("bittorrent: parse: %w", err)
-	}
-	prog, err := core.Build(astProg)
-	if err != nil {
-		return nil, fmt.Errorf("bittorrent: compile: %w", err)
+		return nil, fmt.Errorf("bittorrent: %w", err)
 	}
 
 	var store *torrent.Store
@@ -344,7 +307,6 @@ func New(cfg Config) (*Server, error) {
 
 	s := &Server{
 		cfg:         cfg,
-		prog:        prog,
 		store:       store,
 		inbox:       make(chan *inboxItem, 4096),
 		peers:       make(map[*Peer]bool),
@@ -352,7 +314,6 @@ func New(cfg Config) (*Server, error) {
 		requestedAt: make(map[int]time.Time),
 		avail:       make([]int, cfg.Meta.NumPieces()),
 		pieceLat:    metrics.NewLatencyRecorder(),
-		started:     make(chan struct{}),
 	}
 	if _, err := rand.Read(s.peerID[:]); err != nil {
 		return nil, err
@@ -360,27 +321,6 @@ func New(cfg Config) (*Server, error) {
 	copy(s.peerID[:8], "-FLUX01-")
 	s.chokeRng = mrand.New(mrand.NewSource(int64(binary.BigEndian.Uint64(s.peerID[8:16]))))
 	s.trackerTick = runtime.IntervalSource(cfg.TrackerInterval)
-
-	if cfg.Telemetry != nil {
-		cfg.Observer = runtime.MultiObserver(cfg.Observer, cfg.Telemetry)
-	}
-	gate, obs := netkit.NewGateObserver(cfg.AdmitWatermark, cfg.Observer)
-	if cfg.TargetP95 > 0 {
-		// The controller joins the observer chain now (FlowDone is its
-		// input signal) and meets the plane after the runtime exists.
-		ctrl, err := netkit.NewController(netkit.ControllerConfig{
-			Target:   cfg.TargetP95,
-			Interval: 50 * time.Millisecond,
-			Step:     4,
-			Kind:     cfg.Engine,
-			Sink:     cfg.Observer,
-		}, gate, nil)
-		if err != nil {
-			return nil, fmt.Errorf("bittorrent: %w", err)
-		}
-		s.ctrl = ctrl
-		obs = runtime.MultiObserver(obs, ctrl)
-	}
 
 	b := runtime.NewBindings().
 		BindSource("Listen", s.listen).
@@ -438,40 +378,16 @@ func New(cfg Config) (*Server, error) {
 		MarkBlocking("Handshake", "SendBitfield", "Request", "SendKeepAlives",
 			"SendRequestToTracker", "SendChokeUnchoke", "CompletePiece")
 
-	rt, err := runtime.New(prog, b,
+	// BitTorrent has no 503: shed peers are closed silently and the
+	// remote treats the reset as a refusal. The Poll and timer sources
+	// keep the runtime alive, so it needs no WithKeepAlive.
+	s.cp, err = netkit.NewFluxPlane("bittorrent", prog, b, cfg.ServeConfig, nil,
 		runtime.WithEngine(cfg.Engine),
 		runtime.WithPoolSize(cfg.PoolSize),
 		runtime.WithSourceTimeout(cfg.SourceTimeout),
-		runtime.WithProfiler(cfg.Profiler),
-		runtime.WithObserver(obs),
-		runtime.WithQueueSampleInterval(cfg.QueueSample),
 	)
 	if err != nil {
 		return nil, err
-	}
-	s.rt = rt
-	s.cp, err = netkit.NewFluxPlane(rt, "Listen", netkit.Config{
-		Addr:     cfg.Addr,
-		Gate:     gate,
-		MaxConns: cfg.MaxConns,
-		// BitTorrent has no 503: shed peers are closed silently and the
-		// remote treats the reset as a refusal.
-		ShedResponse: nil,
-		Observer:     obs,
-		Name:         "bittorrent",
-	})
-	if err != nil {
-		return nil, err
-	}
-	if s.ctrl != nil {
-		s.ctrl.BindPlane(s.cp.Plane())
-	}
-	if cfg.Telemetry != nil {
-		pl := s.cp.Plane()
-		cfg.Telemetry.RegisterConns("bittorrent", func() telemetry.ConnStats {
-			st := pl.Stats()
-			return telemetry.ConnStats{Accepted: st.Accepted, Admitted: st.Admitted, Shed: st.Shed, Live: st.Live}
-		})
 	}
 	return s, nil
 }
@@ -479,24 +395,6 @@ func New(cfg Config) (*Server, error) {
 func kindPred(kind string) runtime.PredicateFunc {
 	return func(v any) bool { return v.(*wireMsg).kind == kind }
 }
-
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.cp.Addr() }
-
-// Program exposes the compiled program.
-func (s *Server) Program() *core.Program { return s.prog }
-
-// Stats exposes runtime counters.
-func (s *Server) Stats() *runtime.Stats { return s.rt.Stats() }
-
-// PlaneStats exposes the connection plane's admission counters.
-func (s *Server) PlaneStats() netkit.StatsSnapshot { return s.cp.PlaneStats() }
-
-// Gate exposes the admission gate (nil without an AdmitWatermark).
-func (s *Server) Gate() *netkit.Gate { return s.cp.Gate() }
-
-// Controller exposes the SLO controller (nil without a TargetP95).
-func (s *Server) Controller() *netkit.Controller { return s.ctrl }
 
 // Store exposes the piece store (for completeness checks in tests).
 func (s *Server) Store() *torrent.Store { return s.store }
@@ -518,42 +416,6 @@ func (s *Server) MsgCounts() map[string]uint64 {
 // (leech side).
 func (s *Server) PieceLatency() metrics.LatencySummary { return s.pieceLat.Summary() }
 
-// Start launches the Flux runtime, the connection plane's accept loop,
-// and (with a TargetP95) the SLO control loop; the peer then serves
-// until the context is cancelled or Shutdown is called.
-func (s *Server) Start(ctx context.Context) error {
-	if err := s.cp.Start(ctx); err != nil {
-		return err
-	}
-	if s.ctrl != nil {
-		s.ctrl.Start(ctx)
-	}
-	s.startOnce.Do(func() { close(s.started) })
-	return nil
-}
-
-// Shutdown gracefully stops the peer: the plane stops accepting and
-// interrupts every live connection (pumps report their peers dead), then
-// the runtime stops admitting and drains in-flight flows until their
-// terminals or ctx expires.
-func (s *Server) Shutdown(ctx context.Context) error {
-	if s.ctrl != nil {
-		s.ctrl.Stop()
-	}
-	return s.cp.Shutdown(ctx)
-}
-
-// Wait blocks until the run ends and returns its error.
-func (s *Server) Wait() error { return s.cp.Wait() }
-
-// Run serves until the context is cancelled: Start followed by Wait.
-func (s *Server) Run(ctx context.Context) error {
-	if err := s.Start(ctx); err != nil {
-		return err
-	}
-	return s.Wait()
-}
-
 // ConnectTo dials a remote peer (leecher bootstrap) and adopts the
 // connection onto the plane: it is injected through the same Accept
 // pipeline as inbound peers and tracked for the shutdown sweep. Callers
@@ -561,7 +423,7 @@ func (s *Server) Run(ctx context.Context) error {
 // admission to be live.
 func (s *Server) ConnectTo(addr string) error {
 	select {
-	case <-s.started:
+	case <-s.Started():
 	case <-time.After(5 * time.Second):
 		return errors.New("bittorrent: server not started")
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/flux-lang/flux/internal/loadgen"
+	"github.com/flux-lang/flux/internal/netkit"
 	"github.com/flux-lang/flux/internal/profile"
 	"github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/torrent"
@@ -166,7 +167,9 @@ func TestEmptyPollErrorPathDominatesWhenIdle(t *testing.T) {
 		Meta: meta, Content: data,
 		Engine: runtime.ThreadPool, PoolSize: 4,
 		PollInterval: 200 * time.Microsecond,
-		Profiler:     prof,
+		ServeConfig: netkit.ServeConfig{
+			Observer: runtime.ObserveProfiler(prof),
+		},
 	})
 	time.Sleep(300 * time.Millisecond) // idle server: only empty polls
 	stop()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/flux-lang/flux/internal/metrics"
+	"github.com/flux-lang/flux/internal/netkit"
 	"github.com/flux-lang/flux/internal/runtime"
 )
 
@@ -31,7 +32,9 @@ func TestHandshakeTimeoutShed(t *testing.T) {
 		Meta: meta, Content: data,
 		Engine: runtime.ThreadPool, PoolSize: 4,
 		HandshakeTimeout: 200 * time.Millisecond,
-		Observer:         fo,
+		ServeConfig: netkit.ServeConfig{
+			Observer: fo,
+		},
 	})
 	defer stop()
 
@@ -58,7 +61,9 @@ func TestIdlePeerShed(t *testing.T) {
 		Meta: meta, Content: data,
 		Engine: runtime.ThreadPool, PoolSize: 4,
 		IdleTimeout: 300 * time.Millisecond,
-		Observer:    fo,
+		ServeConfig: netkit.ServeConfig{
+			Observer: fo,
+		},
 	})
 	defer stop()
 

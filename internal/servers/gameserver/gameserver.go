@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"github.com/flux-lang/flux/internal/core"
-	"github.com/flux-lang/flux/internal/lang/parser"
 	"github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/telemetry"
 )
@@ -75,13 +74,13 @@ type Config struct {
 	Heartbeat time.Duration
 	// Seed drives teleport placement.
 	Seed int64
-	// Engine, PoolSize, SourceTimeout, Profiler configure the runtime.
+	// Engine, PoolSize, SourceTimeout configure the runtime.
 	Engine        runtime.EngineKind
 	PoolSize      int
 	SourceTimeout time.Duration
-	Profiler      runtime.Profiler
 	// Observer, when non-nil, joins the runtime's observer plane: flow
-	// terminals (moves and turns) and queue depths.
+	// terminals (moves and turns) and queue depths. A path profiler
+	// joins as runtime.ObserveProfiler(p).
 	Observer runtime.Observer
 	// Telemetry, when non-nil, rides the observer plane alongside
 	// Observer (composed, never replacing it). The game server has no
@@ -156,13 +155,9 @@ func New(cfg Config) (*Server, error) {
 		cfg.Heartbeat = 100 * time.Millisecond
 	}
 
-	astProg, err := parser.Parse("gameserver.flux", FluxSource)
+	prog, err := core.Compile("gameserver.flux", FluxSource)
 	if err != nil {
-		return nil, fmt.Errorf("gameserver: parse: %w", err)
-	}
-	prog, err := core.Build(astProg)
-	if err != nil {
-		return nil, fmt.Errorf("gameserver: compile: %w", err)
+		return nil, fmt.Errorf("gameserver: %w", err)
 	}
 
 	udpAddr, err := net.ResolveUDPAddr("udp", cfg.Addr)
@@ -202,7 +197,6 @@ func New(cfg Config) (*Server, error) {
 		runtime.WithEngine(cfg.Engine),
 		runtime.WithPoolSize(cfg.PoolSize),
 		runtime.WithSourceTimeout(cfg.SourceTimeout),
-		runtime.WithProfiler(cfg.Profiler),
 		runtime.WithObserver(cfg.Observer),
 	)
 	if err != nil {

@@ -15,23 +15,18 @@ package imageserver
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"fmt"
 	"image/jpeg"
-	"net"
 	"strconv"
 	"strings"
 	"time"
 
 	"github.com/flux-lang/flux/internal/core"
-	"github.com/flux-lang/flux/internal/lang/parser"
 	"github.com/flux-lang/flux/internal/lfu"
 	"github.com/flux-lang/flux/internal/netkit"
 	"github.com/flux-lang/flux/internal/ppm"
 	"github.com/flux-lang/flux/internal/runtime"
 	"github.com/flux-lang/flux/internal/servers/httpkit"
-	"github.com/flux-lang/flux/internal/telemetry"
 )
 
 // FluxSource is Figure 2 of the paper.
@@ -85,10 +80,11 @@ type Tag struct {
 	stored bool
 }
 
-// Config tunes the server.
+// Config tunes the server. The embedded ServeConfig carries the
+// listen address, observability, admission, write-timeout and accept
+// sharding knobs every plane-fronted server shares.
 type Config struct {
-	// Addr is the TCP listen address (default "127.0.0.1:0").
-	Addr string
+	netkit.ServeConfig
 	// Images is the library size (default 5, the paper's count).
 	Images int
 	// Width, Height are full-size image dimensions (default 256x192;
@@ -100,37 +96,17 @@ type Config struct {
 	// cost (the paper's compression averaged 0.5 s; benchmarks here use
 	// milliseconds). Zero means JPEG encoding cost only.
 	CompressWork time.Duration
-	// Engine, PoolSize, SourceTimeout, Profiler configure the runtime.
+	// Engine, PoolSize, SourceTimeout configure the runtime.
 	Engine        runtime.EngineKind
 	PoolSize      int
 	SourceTimeout time.Duration
-	Profiler      runtime.Profiler
-	// Observer, when non-nil, joins the runtime's observer plane (flow
-	// terminals, queue depths, connection-plane shed events).
-	Observer runtime.Observer
-	// Telemetry, when non-nil, rides the observer plane alongside
-	// Observer and receives the connection plane's admission counters.
-	Telemetry *telemetry.Telemetry
-	// AdmitWatermark, when > 0, sheds fresh connections with a 503 once
-	// the engine's sampled queue depths sum past it. 0 admits
-	// unboundedly.
-	AdmitWatermark int
-	// MaxConns, when > 0, caps live connections; accepts beyond it are
-	// shed with a 503.
-	MaxConns int
-	// QueueSample overrides the queue-depth sampling period (default
-	// 5ms with an AdmitWatermark — admission control needs a fresh
-	// signal — else the runtime's 100ms).
-	QueueSample time.Duration
-	// WriteTimeout, when > 0, bounds every response write; a dead or
-	// zero-window client fails the write, the connection is torn down,
-	// and the shed is counted on the Observer plane.
-	WriteTimeout time.Duration
-	// ListenShards, when > 1, opens that many SO_REUSEPORT accept
-	// shards; platforms without SO_REUSEPORT fall back to a single
-	// listener.
-	ListenShards int
 }
+
+// cp names the serving scaffold's type so that Server can embed it
+// under a short field name; the embedding promotes the scaffold's
+// lifecycle (Start, Shutdown, Wait, Run) and accessors (Addr, Program,
+// Stats, PlaneStats, Gate, Controller) onto Server.
+type cp = netkit.FluxPlane
 
 // Server is a runnable Flux image server, driven through the runtime's
 // lifecycle: Start, Shutdown, Wait — or Run. Connections are accepted
@@ -138,10 +114,8 @@ type Config struct {
 // entering the graph exclusively through the runtime's external-
 // admission path.
 type Server struct {
+	*cp
 	cfg     Config
-	prog    *core.Program
-	rt      *runtime.Server
-	cp      *netkit.FluxPlane
 	cache   *lfu.Cache
 	library map[string]*ppm.Image
 }
@@ -162,21 +136,13 @@ func New(cfg Config) (*Server, error) {
 		cfg.CacheBytes = 32 << 20
 	}
 
-	astProg, err := parser.Parse("imageserver.flux", FluxSource)
+	prog, err := core.Compile("imageserver.flux", FluxSource)
 	if err != nil {
-		return nil, fmt.Errorf("imageserver: parse: %w", err)
-	}
-	prog, err := core.Build(astProg)
-	if err != nil {
-		return nil, fmt.Errorf("imageserver: compile: %w", err)
+		return nil, fmt.Errorf("imageserver: %w", err)
 	}
 
-	if cfg.QueueSample <= 0 && cfg.AdmitWatermark > 0 {
-		cfg.QueueSample = 5 * time.Millisecond
-	}
 	s := &Server{
 		cfg:     cfg,
-		prog:    prog,
 		cache:   lfu.New(cfg.CacheBytes),
 		library: make(map[string]*ppm.Image, cfg.Images),
 	}
@@ -197,79 +163,21 @@ func New(cfg Config) (*Server, error) {
 		BindPredicate("TestInCache", func(v any) bool { return v.(*Tag).hit }).
 		MarkBlocking("ReadRequest", "Write")
 
-	if cfg.Telemetry != nil {
-		cfg.Observer = runtime.MultiObserver(cfg.Observer, cfg.Telemetry)
-	}
-	gate, obs := netkit.NewGateObserver(cfg.AdmitWatermark, cfg.Observer)
-	rt, err := runtime.New(prog, b,
+	s.cp, err = netkit.NewFluxPlane("imageserver", prog, b, cfg.ServeConfig, httpkit.Unavailable(),
 		runtime.WithEngine(cfg.Engine),
 		runtime.WithPoolSize(cfg.PoolSize),
 		runtime.WithSourceTimeout(cfg.SourceTimeout),
-		runtime.WithProfiler(cfg.Profiler),
-		runtime.WithObserver(obs),
-		runtime.WithQueueSampleInterval(cfg.QueueSample),
 		// Admission is external: the connection plane injects every flow.
 		runtime.WithKeepAlive(),
 	)
 	if err != nil {
 		return nil, err
 	}
-	s.rt = rt
-	s.cp, err = netkit.NewFluxPlane(rt, "Listen", netkit.Config{
-		Addr:         cfg.Addr,
-		Gate:         gate,
-		MaxConns:     cfg.MaxConns,
-		ShedResponse: httpkit.Unavailable(),
-		WriteTimeout: cfg.WriteTimeout,
-		ListenShards: cfg.ListenShards,
-		Observer:     obs,
-		Name:         "imageserver",
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Telemetry != nil {
-		pl := s.cp.Plane()
-		cfg.Telemetry.RegisterConns("imageserver", func() telemetry.ConnStats {
-			st := pl.Stats()
-			return telemetry.ConnStats{Accepted: st.Accepted, Admitted: st.Admitted, Shed: st.Shed, Live: st.Live}
-		})
-	}
 	return s, nil
 }
 
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.cp.Addr() }
-
-// Program exposes the compiled program.
-func (s *Server) Program() *core.Program { return s.prog }
-
-// Stats exposes the runtime counters.
-func (s *Server) Stats() *runtime.Stats { return s.rt.Stats() }
-
 // CacheStats exposes hit/miss/eviction counters.
 func (s *Server) CacheStats() (hits, misses, evictions uint64) { return s.cache.Stats() }
-
-// Start launches the Flux runtime and the connection plane's accept
-// loop; the server then serves until the context is cancelled or
-// Shutdown is called.
-func (s *Server) Start(ctx context.Context) error { return s.cp.Start(ctx) }
-
-// Shutdown gracefully stops the server: the plane stops accepting and
-// interrupts live connections, then the Flux runtime stops admitting
-// and in-flight requests drain until their terminals or ctx expires.
-func (s *Server) Shutdown(ctx context.Context) error { return s.cp.Shutdown(ctx) }
-
-// Wait blocks until the run ends and returns its error.
-func (s *Server) Wait() error { return s.cp.Wait() }
-
-// Run serves until the context is cancelled: Start followed by Wait.
-func (s *Server) Run(ctx context.Context) error {
-	if err := s.Start(ctx); err != nil {
-		return err
-	}
-	return s.Wait()
-}
 
 // --- node implementations --------------------------------------------------
 
@@ -401,14 +309,9 @@ func (s *Server) write(fl *runtime.Flow, in runtime.Record) (runtime.Record, err
 	if err := c.WriteVec(head, tag.jpeg); err != nil {
 		// Figure 2 declares no handler for Write, so the flow will
 		// terminate here; release the flow's cache reference so a
-		// vanished client cannot pin the entry. A popped write deadline
-		// is the server shedding a dead client — count it.
+		// vanished client cannot pin the entry.
 		if tag.hit || tag.stored {
 			s.cache.Release(tag.key)
-		}
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			s.cp.CountShed("write-timeout")
 		}
 		c.Close()
 		return nil, err

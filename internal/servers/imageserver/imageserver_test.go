@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/flux-lang/flux/internal/loadgen"
+	"github.com/flux-lang/flux/internal/netkit"
 	"github.com/flux-lang/flux/internal/profile"
 	"github.com/flux-lang/flux/internal/runtime"
 )
@@ -160,7 +161,7 @@ func TestAllEnginesServe(t *testing.T) {
 
 func TestHitAndMissPathsProfiled(t *testing.T) {
 	prof := profile.New()
-	s, addr, stop := startServer(t, Config{Engine: runtime.ThreadPerFlow, Profiler: prof})
+	s, addr, stop := startServer(t, Config{Engine: runtime.ThreadPerFlow, ServeConfig: netkit.ServeConfig{Observer: runtime.ObserveProfiler(prof)}})
 	fetch(t, addr, 3, 2) // miss
 	fetch(t, addr, 3, 2) // hit
 	stop()

@@ -19,6 +19,7 @@ import (
 
 	"github.com/flux-lang/flux/internal/loadgen"
 	"github.com/flux-lang/flux/internal/metrics"
+	"github.com/flux-lang/flux/internal/netkit"
 	"github.com/flux-lang/flux/internal/runtime"
 )
 
@@ -31,11 +32,13 @@ func TestOverloadShedsAndAnnouncesClose(t *testing.T) {
 	files := loadgen.NewFileSet(1)
 	obs := metrics.NewFlowObserver()
 	srv, addr, stop := startServer(t, Config{
-		Files:          files,
-		Engine:         runtime.EventDriven,
-		SourceTimeout:  2 * time.Millisecond,
-		AdmitWatermark: 50,
-		Observer:       obs,
+		Files:         files,
+		Engine:        runtime.EventDriven,
+		SourceTimeout: 2 * time.Millisecond,
+		ServeConfig: netkit.ServeConfig{
+			AdmitWatermark: 50,
+			Observer:       obs,
+		},
 	})
 	defer stop()
 	path := files.Path(0, 0, 1)

@@ -15,6 +15,7 @@ import (
 
 	"github.com/flux-lang/flux/internal/loadgen"
 	"github.com/flux-lang/flux/internal/metrics"
+	"github.com/flux-lang/flux/internal/netkit"
 	"github.com/flux-lang/flux/internal/runtime"
 )
 
@@ -52,7 +53,9 @@ func TestSlowLorisHeaderTimeout(t *testing.T) {
 		Files:         files,
 		Engine:        runtime.ThreadPerFlow,
 		HeaderTimeout: 150 * time.Millisecond,
-		Observer:      obs,
+		ServeConfig: netkit.ServeConfig{
+			Observer: obs,
+		},
 	})
 	defer stop()
 
@@ -84,7 +87,9 @@ func TestKeepAliveIdleTimeout(t *testing.T) {
 		Files:       files,
 		Engine:      runtime.ThreadPerFlow,
 		IdleTimeout: 150 * time.Millisecond,
-		Observer:    obs,
+		ServeConfig: netkit.ServeConfig{
+			Observer: obs,
+		},
 	})
 	defer stop()
 
@@ -114,10 +119,12 @@ func TestAdaptiveControllerWiring(t *testing.T) {
 	files := loadgen.NewFileSet(1)
 	obs := metrics.NewFlowObserver()
 	srv, addr, stop := startServer(t, Config{
-		Files:     files,
-		Engine:    runtime.EventDriven,
-		TargetP95: 30 * time.Millisecond,
-		Observer:  obs,
+		Files:  files,
+		Engine: runtime.EventDriven,
+		ServeConfig: netkit.ServeConfig{
+			TargetP95: 30 * time.Millisecond,
+			Observer:  obs,
+		},
 	})
 	defer stop()
 

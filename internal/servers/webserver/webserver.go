@@ -16,7 +16,6 @@
 package webserver
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -24,7 +23,6 @@ import (
 	"time"
 
 	"github.com/flux-lang/flux/internal/core"
-	"github.com/flux-lang/flux/internal/lang/parser"
 	"github.com/flux-lang/flux/internal/lfu"
 	"github.com/flux-lang/flux/internal/loadgen"
 	"github.com/flux-lang/flux/internal/netkit"
@@ -107,10 +105,11 @@ type Request struct {
 	fileSize int64
 }
 
-// Config tunes the server.
+// Config tunes the server. The embedded ServeConfig carries the
+// listen address, observability, admission, write-timeout and accept
+// sharding knobs every plane-fronted server shares.
 type Config struct {
-	// Addr is the TCP listen address (default "127.0.0.1:0").
-	Addr string
+	netkit.ServeConfig
 	// Files is the static corpus (default: 1-directory SPECweb set).
 	Files *loadgen.FileSet
 	// CacheBytes bounds the response cache (default 64 MB).
@@ -121,15 +120,6 @@ type Config struct {
 	PoolSize int
 	// SourceTimeout is the event engine's source polling deadline.
 	SourceTimeout time.Duration
-	// Profiler, when non-nil, receives path/node observations.
-	Profiler runtime.Profiler
-	// Observer, when non-nil, joins the runtime's observer plane: flow
-	// terminals, queue depths, and the connection plane's shed events.
-	Observer runtime.Observer
-	// Telemetry, when non-nil, rides the observer plane alongside
-	// Observer (composed, never replacing it) and receives the
-	// connection plane's admission counters under the server's name.
-	Telemetry *telemetry.Telemetry
 	// MaxKeepAlive bounds requests per connection (default 100).
 	MaxKeepAlive int
 	// ScriptWork is the loop bound handed to dynamic pages (default
@@ -140,28 +130,6 @@ type Config struct {
 	// interpreter as fallback); experiments force the interpreter —
 	// with or without the fragment cache — to measure the tax.
 	Dispatch fscript.Dispatch
-	// AdmitWatermark, when > 0, bounds admission: once the engine's
-	// sampled queue depths sum past it, fresh connections are shed with
-	// a 503 and keep-alive responses announce Connection: close until
-	// the backlog drains. 0 admits unboundedly (the pre-overload-control
-	// behavior).
-	AdmitWatermark int
-	// MaxConns, when > 0, caps live connections; accepts beyond it are
-	// shed with a 503. The queue-depth watermark reacts to backlog with
-	// sampling lag, so a reconnect burst in a between-samples window can
-	// overshoot it; the cap bounds that burst.
-	MaxConns int
-	// QueueSample overrides the queue-depth sampling period (default
-	// 5ms with an AdmitWatermark — admission control needs a fresh
-	// signal — else the runtime's 100ms).
-	QueueSample time.Duration
-	// TargetP95, when > 0, puts admission under the SLO controller
-	// instead of a hand-picked bound: served latency is measured on the
-	// Observer plane (completed flows' elapsed time) and every control
-	// interval the watermark — and the connection cap, 2× it — takes one
-	// AIMD step to hold the window's p95 at the target. AdmitWatermark
-	// becomes merely the starting point (default 64 when unset).
-	TargetP95 time.Duration
 	// HeaderTimeout, when > 0, bounds reading a fresh connection's
 	// request head: a client that dials and trickles bytes (slow loris)
 	// is disconnected and counted as a shed instead of pinning a worker
@@ -171,18 +139,6 @@ type Config struct {
 	// keep-alive connection; dead peers are reaped and counted the same
 	// way.
 	IdleTimeout time.Duration
-	// WriteTimeout, when > 0, bounds every response write: a dead or
-	// zero-window client (write-side slow loris) stalls a response for
-	// at most this long before the write fails, the connection is torn
-	// down, and the shed is counted — the write-side twin of
-	// HeaderTimeout/IdleTimeout.
-	WriteTimeout time.Duration
-	// ListenShards, when > 1, opens that many SO_REUSEPORT accept
-	// shards (one accept loop each) so accepted connections spread
-	// across cores at the socket layer — pair it with the steal
-	// engine's dispatcher count. Platforms without SO_REUSEPORT fall
-	// back to a single listener and serve identically.
-	ListenShards int
 	// CopyWrites forces the legacy render path — every response
 	// assembled contiguously (fmt-rendered header + body copy) and
 	// written with a single Write — instead of the zero-copy
@@ -196,14 +152,17 @@ type Config struct {
 	SendfileFrom int
 }
 
+// cp names the serving scaffold's type so that Server can embed it
+// under a short field name; the embedding promotes the scaffold's
+// lifecycle (Start, Shutdown, Wait, Run) and accessors (Addr, Program,
+// Stats, PlaneStats, Gate, Controller) onto Server.
+type cp = netkit.FluxPlane
+
 // Server is a runnable Flux web server, driven through the same
 // lifecycle as the runtime underneath: Start, Shutdown, Wait — or Run.
 type Server struct {
+	*cp
 	cfg   Config
-	prog  *core.Program
-	rt    *runtime.Server
-	cp    *netkit.FluxPlane
-	ctrl  *netkit.Controller
 	cache *lfu.Cache
 	pages *fscript.BenchPages
 }
@@ -226,22 +185,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SendfileFrom == 0 {
 		cfg.SendfileFrom = 64 << 10
 	}
-	if cfg.TargetP95 > 0 && cfg.AdmitWatermark <= 0 {
-		cfg.AdmitWatermark = 64 // the controller's starting point, not a tuning decision
-	}
-	if cfg.QueueSample <= 0 && cfg.AdmitWatermark > 0 {
-		cfg.QueueSample = 5 * time.Millisecond
-	}
 
-	astProg, err := parser.Parse("webserver.flux", FluxSource)
+	prog, err := core.Compile("webserver.flux", FluxSource)
 	if err != nil {
-		return nil, fmt.Errorf("webserver: parse: %w", err)
+		return nil, fmt.Errorf("webserver: %w", err)
 	}
-	prog, err := core.Build(astProg)
-	if err != nil {
-		return nil, fmt.Errorf("webserver: compile: %w", err)
-	}
-
 	pages, err := fscript.NewBenchPages()
 	if err != nil {
 		return nil, fmt.Errorf("webserver: dynamic templates: %w", err)
@@ -250,36 +198,9 @@ func New(cfg Config) (*Server, error) {
 
 	s := &Server{
 		cfg:   cfg,
-		prog:  prog,
 		cache: lfu.New(cfg.CacheBytes),
 		pages: pages,
 	}
-	if cfg.Telemetry != nil {
-		cfg.Observer = runtime.MultiObserver(cfg.Observer, cfg.Telemetry)
-	}
-	gate, obs := netkit.NewGateObserver(cfg.AdmitWatermark, cfg.Observer)
-	if cfg.TargetP95 > 0 {
-		// The controller joins the observer chain now (FlowDone is its
-		// input signal) and meets the plane after the runtime exists.
-		ctrl, err := netkit.NewController(netkit.ControllerConfig{
-			Target: cfg.TargetP95,
-			// Tighter than the netkit defaults: a 50ms period detects an
-			// overshoot one window after it starts, and probing up by 4
-			// admits a burst small enough that its queueing delay stays
-			// inside the SLO band instead of spiking served p95 (the AIMD
-			// limit cycle's amplitude is the up-step's queueing cost).
-			Interval: 50 * time.Millisecond,
-			Step:     4,
-			Kind:     cfg.Engine,
-			Sink:     cfg.Observer,
-		}, gate, nil)
-		if err != nil {
-			return nil, fmt.Errorf("webserver: %w", err)
-		}
-		s.ctrl = ctrl
-		obs = runtime.MultiObserver(obs, ctrl)
-	}
-
 	b := runtime.NewBindings().
 		BindSource("Listen", s.listen).
 		BindNode("ReadRequest", s.readRequest).
@@ -301,13 +222,10 @@ func New(cfg Config) (*Server, error) {
 		// offloads them instead of stalling its dispatcher.
 		MarkBlocking("ReadRequest", "SendResponse", "RunScript", "HandlePost")
 
-	rt, err := runtime.New(prog, b,
+	s.cp, err = netkit.NewFluxPlane("webserver", prog, b, cfg.ServeConfig, httpkit.Unavailable(),
 		runtime.WithEngine(cfg.Engine),
 		runtime.WithPoolSize(cfg.PoolSize),
 		runtime.WithSourceTimeout(cfg.SourceTimeout),
-		runtime.WithProfiler(cfg.Profiler),
-		runtime.WithObserver(obs),
-		runtime.WithQueueSampleInterval(cfg.QueueSample),
 		// Admission is external (the connection plane injects every
 		// flow), so the server must outlive its instantly-exhausted
 		// source.
@@ -316,29 +234,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.rt = rt
-	s.cp, err = netkit.NewFluxPlane(rt, "Listen", netkit.Config{
-		Addr:         cfg.Addr,
-		Gate:         gate,
-		MaxConns:     cfg.MaxConns,
-		ShedResponse: httpkit.Unavailable(),
-		WriteTimeout: cfg.WriteTimeout,
-		ListenShards: cfg.ListenShards,
-		Observer:     obs,
-		Name:         "webserver",
-	})
-	if err != nil {
-		return nil, err
-	}
-	if s.ctrl != nil {
-		s.ctrl.BindPlane(s.cp.Plane())
-	}
 	if cfg.Telemetry != nil {
-		pl := s.cp.Plane()
-		cfg.Telemetry.RegisterConns("webserver", func() telemetry.ConnStats {
-			st := pl.Stats()
-			return telemetry.ConnStats{Accepted: st.Accepted, Admitted: st.Admitted, Shed: st.Shed, Live: st.Live}
-		})
 		cfg.Telemetry.RegisterDynPages("webserver", func() telemetry.DynPageStats {
 			st := pages.DynStats()
 			return telemetry.DynPageStats{Compiled: st.Compiled, Interpreted: st.Interpreted, FragHits: st.FragHits, FragMisses: st.FragMisses}
@@ -347,73 +243,12 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.cp.Addr() }
-
-// Program exposes the compiled Flux program (for DOT output, simulation,
-// and profiling reports).
-func (s *Server) Program() *core.Program { return s.prog }
-
 // Pages exposes the dynamic-page engine (dispatch mode and counters,
 // for the benchmark harness's compiled-path assertion).
 func (s *Server) Pages() *fscript.BenchPages { return s.pages }
 
-// Stats exposes the runtime's flow counters.
-func (s *Server) Stats() *runtime.Stats { return s.rt.Stats() }
-
-// PlaneStats exposes the connection plane's admission counters.
-func (s *Server) PlaneStats() netkit.StatsSnapshot { return s.cp.PlaneStats() }
-
-// Gate exposes the admission gate (nil without an AdmitWatermark) —
-// the overload signal, for harnesses and tests.
-func (s *Server) Gate() *netkit.Gate { return s.cp.Gate() }
-
-// Controller exposes the SLO controller (nil without a TargetP95).
-func (s *Server) Controller() *netkit.Controller { return s.ctrl }
-
 // CacheStats exposes hit/miss/eviction counters.
 func (s *Server) CacheStats() (hits, misses, evictions uint64) { return s.cache.Stats() }
-
-// Start launches the Flux runtime, the connection plane's accept loop,
-// and (with a TargetP95) the SLO control loop, returning once all are
-// running. The server then serves until the context is cancelled or
-// Shutdown is called.
-func (s *Server) Start(ctx context.Context) error {
-	if err := s.cp.Start(ctx); err != nil {
-		return err
-	}
-	if s.ctrl != nil {
-		s.ctrl.Start(ctx)
-	}
-	return nil
-}
-
-// Shutdown gracefully stops the server: the plane stops accepting and
-// interrupts every live connection (so flows blocked reading idle
-// keep-alive clients reach their error terminals), then the Flux
-// runtime stops admitting and drains in-flight flows until their
-// terminals or ctx expires. Keep-alive re-registrations racing the
-// shutdown are refused by Inject and their connections dropped — and
-// counted, via the Observer plane. The control loop stops first — a
-// controller stepping the watermark while the plane drains would fight
-// the shutdown.
-func (s *Server) Shutdown(ctx context.Context) error {
-	if s.ctrl != nil {
-		s.ctrl.Stop()
-	}
-	return s.cp.Shutdown(ctx)
-}
-
-// Wait blocks until the run ends and returns its error.
-func (s *Server) Wait() error { return s.cp.Wait() }
-
-// Run serves until the context is cancelled: Start followed by Wait.
-func (s *Server) Run(ctx context.Context) error {
-	if err := s.Start(ctx); err != nil {
-		return err
-	}
-	return s.Wait()
-}
 
 // --- node implementations --------------------------------------------------
 
@@ -523,7 +358,7 @@ func (s *Server) runScript(fl *runtime.Flow, in runtime.Record) (runtime.Record,
 		fscript.PutBuf(buf)
 		return nil, err
 	}
-	req.response = renderResponse(200, "OK", "text/html", out)
+	req.response = httpkit.Render(200, "OK", "text/html", out)
 	fscript.PutBuf(buf)
 	return in, nil
 }
@@ -545,8 +380,8 @@ func (s *Server) handlePost(fl *runtime.Flow, in runtime.Record) (runtime.Record
 // response, Connection: close is announced (baked into the static
 // header variant; copied in on rendered responses) so keep-alive
 // clients reconnect instead of failing. A write deadline popping means
-// a dead or zero-window client: the connection is torn down by the
-// plane-level write path and the shed is counted here.
+// a dead or zero-window client: the plane-level write path tears the
+// connection down and counts the shed.
 func (s *Server) sendResponse(fl *runtime.Flow, in runtime.Record) (runtime.Record, error) {
 	c := in[0].(*netkit.Conn)
 	closeAfter := in[1].(bool)
@@ -556,7 +391,7 @@ func (s *Server) sendResponse(fl *runtime.Flow, in runtime.Record) (runtime.Reco
 	case req.response != nil:
 		resp := req.response
 		if closeAfter {
-			resp = withCloseHeader(resp)
+			resp = httpkit.WithCloseHeader(resp)
 		}
 		_, err = c.Write(resp)
 	case req.fileName != "":
@@ -581,18 +416,10 @@ func (s *Server) sendResponse(fl *runtime.Flow, in runtime.Record) (runtime.Reco
 		return nil, errors.New("webserver: no response rendered")
 	}
 	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			s.cp.CountShed("write-timeout")
-		}
 		return nil, err
 	}
 	return in, nil
 }
-
-// withCloseHeader announces the close on a connection's final response
-// (cached responses stay header-free; httpkit copies).
-func withCloseHeader(resp []byte) []byte { return httpkit.WithCloseHeader(resp) }
 
 // complete releases the cache reference and either closes the connection
 // or re-registers it for the next keep-alive request — through the same
@@ -643,9 +470,4 @@ func (s *Server) fourOhFour(fl *runtime.Flow, in runtime.Record) (runtime.Record
 	_ = c.WriteVec(httpkit.StaticHeader(404, "Not Found", "text/html", len(body), true), body)
 	c.Close()
 	return nil, nil
-}
-
-// renderResponse builds a complete HTTP/1.1 response.
-func renderResponse(code int, status, ctype string, body []byte) []byte {
-	return httpkit.Render(code, status, ctype, body)
 }

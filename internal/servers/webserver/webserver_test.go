@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/flux-lang/flux/internal/loadgen"
+	"github.com/flux-lang/flux/internal/netkit"
 	"github.com/flux-lang/flux/internal/profile"
 	"github.com/flux-lang/flux/internal/runtime"
 )
@@ -228,7 +229,7 @@ func TestLoadGeneratorAgainstServer(t *testing.T) {
 func TestPathProfileOfWebServer(t *testing.T) {
 	files := loadgen.NewFileSet(1)
 	prof := profile.New()
-	s, addr, stop := startServer(t, Config{Files: files, Engine: runtime.ThreadPerFlow, Profiler: prof})
+	s, addr, stop := startServer(t, Config{Files: files, Engine: runtime.ThreadPerFlow, ServeConfig: netkit.ServeConfig{Observer: runtime.ObserveProfiler(prof)}})
 	defer stop()
 
 	path := files.Path(0, 0, 2)

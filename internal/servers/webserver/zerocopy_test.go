@@ -15,6 +15,7 @@ import (
 
 	"github.com/flux-lang/flux/internal/loadgen"
 	"github.com/flux-lang/flux/internal/metrics"
+	"github.com/flux-lang/flux/internal/netkit"
 	"github.com/flux-lang/flux/internal/runtime"
 )
 
@@ -88,10 +89,12 @@ func TestWriteTimeoutShedsStalledClient(t *testing.T) {
 	files := loadgen.NewFileSet(1)
 	obs := metrics.NewFlowObserver()
 	_, addr, stop := startServer(t, Config{
-		Files:        files,
-		Engine:       runtime.ThreadPerFlow,
-		WriteTimeout: 200 * time.Millisecond,
-		Observer:     obs,
+		Files:  files,
+		Engine: runtime.ThreadPerFlow,
+		ServeConfig: netkit.ServeConfig{
+			WriteTimeout: 200 * time.Millisecond,
+			Observer:     obs,
+		},
 	})
 	defer stop()
 
@@ -119,7 +122,7 @@ func TestWriteTimeoutShedsStalledClient(t *testing.T) {
 // the single-listener fallback serves identically.
 func TestListenShardsServe(t *testing.T) {
 	files := loadgen.NewFileSet(1)
-	s, addr, stop := startServer(t, Config{Files: files, Engine: runtime.ThreadPool, PoolSize: 4, ListenShards: 2})
+	s, addr, stop := startServer(t, Config{Files: files, Engine: runtime.ThreadPool, PoolSize: 4, ServeConfig: netkit.ServeConfig{ListenShards: 2}})
 	defer stop()
 
 	if got := s.cp.Shards(); goruntime.GOOS == "linux" && got != 2 {
